@@ -107,6 +107,15 @@ def _params(settings: dict) -> CavityParams:
         raise ConfigError(str(exc)) from None
 
 
+def _n_phi(args, default: int) -> int:
+    """The --n-phi flag, or ``default`` when it is absent; at least 1."""
+    if args.n_phi is None:
+        return default
+    if args.n_phi < 1:
+        raise ConfigError(f"--n-phi must be at least 1, got {args.n_phi}")
+    return args.n_phi
+
+
 def _grid_and_pulse(settings: dict, p: CavityParams):
     tf = float(settings["T_f"])
     kwargs = {}
@@ -130,12 +139,13 @@ def cmd_reflect(args) -> int:
     settings = _load_settings(args)
     if args.case not in ("bare", "coupled"):
         raise ConfigError(f"--case must be 'bare' or 'coupled', got {args.case!r}")
+    n_phi = _n_phi(args, 1)
     p = _params(settings)
     grid, f_in = _grid_and_pulse(settings, p)
     if args.case == "bare":
         rec = reflect_bare(p, f_in)
-    elif args.n_phi and args.n_phi > 1:
-        rec = reflect_coupled_motion_averaged(p, f_in, args.n_phi, keep_envelopes=False)
+    elif n_phi > 1:
+        rec = reflect_coupled_motion_averaged(p, f_in, n_phi, keep_envelopes=False)
     else:
         rec = reflect_coupled(p, f_in)
     print(f"case={args.case} T_f={_fmt(float(settings['T_f']))} "
@@ -171,6 +181,7 @@ def cmd_sweep(args) -> int:
     settings = _load_settings(args)
     if args.case not in ("bare", "coupled"):
         raise ConfigError(f"--case must be 'bare' or 'coupled', got {args.case!r}")
+    n_phi = _n_phi(args, 1)
 
     def rng_of(flag, key):
         val = getattr(args, flag)
@@ -185,21 +196,15 @@ def cmd_sweep(args) -> int:
         gamma_values=rng_of("gamma", "gamma"),
         T_f_values=rng_of("Tf", "T_f"),
         T_g_values=rng_of("Tg", "T_g"),
-        n_phi=args.n_phi or 1,
+        n_phi=n_phi,
         dt=settings.get("dt"),
     )
-    comment = _config_comment("sweep", settings, {"case": args.case, "n_phi": args.n_phi or 1})
+    comment = _config_comment("sweep", settings, {"case": args.case, "n_phi": n_phi})
     if args.out:
         write_sweep_csv(rows, args.out, comment)
         print(f"wrote {len(rows)} rows to {args.out}")
     else:
-        from .reflection import SWEEP_CSV_HEADER
-        print(f"# {comment}")
-        print(SWEEP_CSV_HEADER)
-        for r in rows:
-            print(",".join(str(x) for x in (
-                r.g0, r.kappa_l, r.gamma, r.T_f, r.T_g, r.n_phi, r.case,
-                r.P, r.F, r.phase, r.loss_atom, r.loss_cavity, r.error)))
+        write_sweep_csv(rows, sys.stdout, comment)
     bad = [r for r in rows if r.error]
     if bad:
         print(f"{len(bad)} rows failed", file=sys.stderr)
@@ -250,6 +255,7 @@ FIG5_R = tuple(round(0.05 * k, 2) for k in range(81))  # 0 .. 4
 
 
 def cmd_figures(args) -> int:
+    n_phi = _n_phi(args, 16)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"{args.which}.csv")
     if args.which == "fig2":
@@ -259,7 +265,6 @@ def cmd_figures(args) -> int:
         write_sweep_csv(rows, path, _config_comment(
             "figures fig2", {"T_f": list(FIG2_TF), "kappa_l": list(FIG2_KL)}))
     elif args.which == "fig3":
-        n_phi = args.n_phi or 16
         rows = []
         for tf, tg, kl in FIG3_COMBOS:
             rows.extend(sweep(

@@ -426,20 +426,18 @@ def monte_carlo_growth(
         raise ValueError("m and n_trials must be at least 1")
     if start_length is None:
         start_length = 2 * m + 10
-    floor_possible = start_length <= 2 * m
 
     deltas = np.empty(n_trials)
     floor_hits = 0
     for trial in range(n_trials):
         rng = np.random.default_rng([seed, trial])
-        if floor_possible:
-            rec = simulate_chain(P, m, rng, start_length=start_length)
-            if any(length == 0 for _, _, length in rec.history):
-                floor_hits += 1
-            deltas[trial] = rec.length - start_length
-        else:
-            successes = int(np.count_nonzero(rng.random(m) < P))
-            deltas[trial] = 3 * successes - 2 * m
+        # Lindley's form of L_k = max(L_{k-1} + s_k, 0): with the free walk
+        # W_k = L_0 + s_1 + ... + s_k, L_m = W_m - min(0, min_k W_k), and the
+        # length touches 0 exactly when min_k W_k <= 0
+        walk = start_length + np.cumsum(np.where(rng.random(m) < P, 1, -2))
+        low = int(walk.min())
+        floor_hits += low <= 0
+        deltas[trial] = walk[-1] - min(low, 0) - start_length
     mean = float(np.mean(deltas))
     std_err = float(np.std(deltas, ddof=1) / math.sqrt(n_trials)) if n_trials > 1 else 0.0
     return GrowthStats(

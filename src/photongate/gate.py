@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import CavityParams, PulseEnvelope
-from .reflection import ReflectionRecord, reflect_envelope
+from .reflection import ReflectionRecord, _integrate
 
 __all__ = [
     "IDEAL_TARGET",
@@ -258,16 +258,46 @@ class SimulatedGateOutcome:
 
 
 def _branch_stats(envs: np.ndarray, dt: float):
-    """Probability, density matrix, dominant state, and target fidelity from
-    four branch envelopes (4, n_t)."""
+    """Probability, normalized density matrix and dominant state from four
+    branch envelopes (4, n_t)."""
     rho = np.trapezoid(envs[:, None, :] * np.conj(envs[None, :, :]), dx=dt, axis=2)
     P = float(np.trace(rho).real)
     rho_n = rho / P
-    F = math.sqrt(max(float(np.vdot(IDEAL_TARGET, rho_n @ IDEAL_TARGET).real), 0.0))
     w, v = np.linalg.eigh(rho_n)
     state = v[:, -1]
     state = state / np.linalg.norm(state)
-    return P, F, TwoQubitState(state)
+    return P, rho_n, TwoQubitState(state)
+
+
+def _target_fidelity(rho_n: np.ndarray) -> float:
+    return math.sqrt(max(float(np.vdot(IDEAL_TARGET, rho_n @ IDEAL_TARGET).real), 0.0))
+
+
+def _cavity(v: np.ndarray, p: CavityParams, grid, atom_axis: int, probe=None):
+    """Reflect every non-zero branch of v[pol, a, b, t] off one cavity in one
+    batched kernel call.
+
+    A branch sees the coupled cavity when its photon is R-polarized and the
+    atom on ``atom_axis`` (1 for A, 2 for B) is in |1>.  A ``probe``
+    envelope adds two columns, the probe off the bare and off the coupled
+    cavity; their reflected powers are reduced here, before the trajectory
+    is dropped.  Returns the reflected branches and the probe powers.
+    """
+    keys = [key for key in np.ndindex(v.shape[:3]) if np.any(v[key])]
+    coupled = [key[0] == 1 and key[atom_axis] == 1 for key in keys]
+    drives = [v[key] for key in keys]
+    if probe is not None:
+        drives += [probe, probe]
+        coupled += [False, True]
+    drives = np.stack(drives, axis=1)
+    c, _ = _integrate(p, drives, grid, np.full(len(coupled), p.phi), coupled)
+    sq = math.sqrt(p.kappa_c)
+    out = np.zeros_like(v)
+    for i, key in enumerate(keys):
+        out[key] = drives[:, i] + sq * c[:, i]
+    powers = [float(np.trapezoid(np.abs(drives[:, i] + sq * c[:, i]) ** 2, dx=grid.dt))
+              for i in range(len(keys), len(coupled))]
+    return out, powers
 
 
 def gate_from_simulation(
@@ -279,10 +309,12 @@ def gate_from_simulation(
     branch; each cavity reflection is applied branch-wise with the exact
     input-output solver, so no adiabatic idealization is assumed.  Reduces
     to the two_cavity_gate closed forms when all branch envelopes end up
-    shape-identical.
+    shape-identical.  The branches of one cavity, and for cavity A the input
+    pulse off its bare and coupled cavity (P0, P1), are one batched call.
     """
-    n_t = f_in.grid.n_steps
-    dt = f_in.grid.dt
+    grid = f_in.grid
+    n_t = grid.n_steps
+    dt = grid.dt
     # envs[pol, a, b_, t]
     envs = np.zeros((2, 2, 2, n_t), dtype=complex)
     envs[0] = 0.5 * f_in.samples  # photon |L>, atoms (|0>+|1>)(|0>+|1>)/2
@@ -290,48 +322,28 @@ def gate_from_simulation(
     def wplate(v):
         return np.einsum("pq,qabt->pabt", _WPLATE, v)
 
-    def cavity(v, params, atom_axis):
-        out = np.zeros_like(v)
-        for pol in (0, 1):
-            for a in (0, 1):
-                for bb in (0, 1):
-                    branch = v[pol, a, bb]
-                    if not np.any(branch):
-                        continue
-                    atom_state = a if atom_axis == 1 else bb
-                    coupled = pol == 1 and atom_state == 1
-                    rec = reflect_envelope(
-                        params, PulseEnvelope(f_in.grid, branch), coupled=coupled
-                    )
-                    out[pol, a, bb] = rec.f_out_raw.samples
-        return out
-
-    envs = wplate(envs)
-    envs = cavity(envs, pA, atom_axis=1)
-    envs = wplate(envs)
-    envs = cavity(envs, pB, atom_axis=2)
+    envs, (P0, P1) = _cavity(wplate(envs), pA, grid, atom_axis=1, probe=f_in.samples)
+    envs, _ = _cavity(wplate(envs), pB, grid, atom_axis=2)
     envs = wplate(envs)
 
-    P_L, F_L, psi_L = _branch_stats(envs[0].reshape(4, n_t), dt)
-    P_R, F_R_raw, psi_R_raw = _branch_stats(envs[1].reshape(4, n_t), dt)
+    P_L, rho_L, psi_L = _branch_stats(envs[0].reshape(4, n_t), dt)
+    P_R, rho_R, psi_R_raw = _branch_stats(envs[1].reshape(4, n_t), dt)
     psi_R = psi_R_raw.sigma_x_on_b()
+    F_L = _target_fidelity(rho_L)
     # sigma_x on B permutes the basis; evaluate F_R on the corrected order
     perm = [1, 0, 3, 2]
-    _, F_R, _ = _branch_stats(envs[1].reshape(4, n_t)[perm], dt)
+    F_R = _target_fidelity(rho_R[np.ix_(perm, perm)])
     F_avg = (P_L * F_L + P_R * F_R) / (P_L + P_R)
 
-    bare = reflect_envelope(pA, f_in, coupled=False)
-    coup = reflect_envelope(pA, f_in, coupled=True)
-
     branch_envelopes = {
-        (pol_name, a, bb): PulseEnvelope(f_in.grid, envs[pol, a, bb])
+        (pol_name, a, bb): PulseEnvelope(grid, envs[pol, a, bb])
         for pol, pol_name in enumerate("LR")
         for a in (0, 1)
         for bb in (0, 1)
     }
     return SimulatedGateOutcome(
         P_L=P_L, P_R=P_R, psi_L=psi_L, psi_R=psi_R, psi_R_raw=psi_R_raw,
-        F_L=F_L, F_R=F_R, F_avg=F_avg, P0=bare.P, P1=coup.P,
+        F_L=F_L, F_R=F_R, F_avg=F_avg, P0=P0, P1=P1,
         branch_envelopes=branch_envelopes,
     )
 

@@ -52,6 +52,7 @@ __all__ = [
     "SWEEP_CSV_HEADER",
 ]
 
+#: Step-columns per precompute chunk of the integrator.
 _CHUNK = 4096
 
 
@@ -109,10 +110,19 @@ def _coupling_batch(p: CavityParams, t: np.ndarray, phis: np.ndarray) -> np.ndar
     return p.g0 * np.cos((np.pi / 3.0) * np.sin(arg))
 
 
-def _integrate(p: CavityParams, f: np.ndarray, grid: TimeGrid, phis: np.ndarray):
-    """Integrate the driven two-amplitude system for a batch of phases.
+def _integrate(
+    p: CavityParams, f: np.ndarray, grid: TimeGrid, phis: np.ndarray, coupled
+):
+    """Integrate the driven two-amplitude system for a batch of columns.
 
-    Returns (c, e) trajectories of shape (n_steps, len(phis)).
+    Column i is driven by ``f`` (shape (n,), shared by every column) or by
+    ``f[:, i]`` (shape (n, k)).  It sees the coupling g(t) at motion phase
+    ``phis[i]`` where ``coupled[i]`` is true and the bare cavity, g = 0,
+    elsewhere; ``coupled`` may also be one bool for every column.  The
+    arithmetic of a column does not depend on the other columns or on the
+    batch width, so each column is bit-identical to a k = 1 call.
+
+    Returns (c, e) trajectories of shape (n_steps, k).
     """
     n = grid.n_steps
     k = len(phis)
@@ -121,23 +131,30 @@ def _integrate(p: CavityParams, f: np.ndarray, grid: TimeGrid, phis: np.ndarray)
     kt = 0.5 * (p.kappa_c + p.kappa_l)
     gh = 0.5 * p.gamma
     sq = math.sqrt(p.kappa_c)
+    coupled = np.broadcast_to(np.asarray(coupled, dtype=bool), (k,))
+    if f.ndim == 1:
+        f = f[:, None]
+    # chunks hold about _CHUNK step-columns, so the precompute temporaries
+    # take the same memory whatever the batch width
+    rows = max(_CHUNK // k, 1)
 
     c = np.zeros((n, k), dtype=complex)
     e = np.zeros((n, k), dtype=complex)
     yc = np.zeros(k, dtype=complex)
     ye = np.zeros(k, dtype=complex)
 
-    f_half = 0.5 * (f[:-1] + f[1:])
+    def coupling(tt):
+        return np.where(coupled, _coupling_batch(p, tt, phis), 0.0)
 
-    for start in range(0, n - 1, _CHUNK):
-        stop = min(start + _CHUNK, n - 1)
+    for start in range(0, n - 1, rows):
+        stop = min(start + rows, n - 1)
         sl = slice(start, stop)
         m = stop - start
 
-        if p.g0 != 0.0:
-            ga = _coupling_batch(p, t[sl], phis)
-            gb = _coupling_batch(p, t[start + 1 : stop + 1], phis)
-            gm = _coupling_batch(p, t[sl] + 0.5 * h, phis)
+        if p.g0 != 0.0 and coupled.any():
+            ga = coupling(t[sl])
+            gb = coupling(t[start + 1 : stop + 1])
+            gm = coupling(t[sl] + 0.5 * h)
         else:
             ga = gb = gm = np.zeros((m, k))
 
@@ -161,11 +178,11 @@ def _integrate(p: CavityParams, f: np.ndarray, grid: TimeGrid, phis: np.ndarray)
 
         def src(fv):
             s = np.zeros((m, k, 2), dtype=complex)
-            s[..., 0] = -sq * fv[:, None]
+            s[..., 0] = -sq * fv
             return s
 
         q1 = src(f[sl])
-        sm = src(f_half[sl])
+        sm = src(0.5 * (f[sl] + f[start + 1 : stop + 1]))
         q2 = 0.5 * h * np.einsum("...ij,...j->...i", Mm, q1) + sm
         q3 = 0.5 * h * np.einsum("...ij,...j->...i", Mm, q2) + sm
         q4 = h * np.einsum("...ij,...j->...i", Mb, q3) + src(f[start + 1 : stop + 1])
@@ -233,15 +250,11 @@ def reflect_envelope(
 ) -> ReflectionRecord:
     """Reflect an arbitrary (not necessarily normalized) envelope.
 
-    Linear in f_in; used by the full gate simulation where branch envelopes
-    carry their own amplitudes.
+    Linear in f_in; the k = 1 call of the batched kernel, at the motion
+    phase p.phi when coupled.
     """
-    pp = p if coupled else CavityParams(
-        g0=0.0, kappa_c=p.kappa_c, kappa_l=p.kappa_l, gamma=p.gamma,
-        T_g=p.T_g, phi=p.phi,
-    )
-    c, e = _integrate(pp, f_in.samples, f_in.grid, np.array([pp.phi]))
-    return _record_from_trajectory(pp, f_in, c[:, 0], e[:, 0])
+    c, e = _integrate(p, f_in.samples, f_in.grid, np.array([p.phi]), coupled)
+    return _record_from_trajectory(p, f_in, c[:, 0], e[:, 0])
 
 
 def reflect_bare(p: CavityParams, f_in: PulseEnvelope) -> ReflectionRecord:
@@ -270,7 +283,7 @@ def reflect_coupled_motion_averaged(
         raise ValueError("n_phi must be at least 1")
     phis = TWO_PI * np.arange(n_phi) / n_phi
     try:
-        c, e = _integrate(p, f_in.samples, f_in.grid, phis)
+        c, e = _integrate(p, f_in.samples, f_in.grid, phis, True)
     except SolverError as exc:
         raise SolverError(f"{exc} (while batching phi={list(phis)})") from exc
 
@@ -344,6 +357,8 @@ def sweep(
     """
     if case not in ("bare", "coupled"):
         raise ValueError(f"unknown case {case!r}")
+    if n_phi < 1:
+        raise ValueError(f"n_phi must be at least 1, got {n_phi}")
     for name, vals in (
         ("g0", g0_values), ("kappa_l", kappa_l_values), ("gamma", gamma_values),
         ("T_f", T_f_values), ("T_g", T_g_values),
@@ -385,16 +400,20 @@ def sweep(
     return rows
 
 
-def write_sweep_csv(rows, path, header_comment: str | None = None) -> None:
-    """Write sweep rows in the fixed CSV schema (12 significant digits)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write(SWEEP_CSV_HEADER + "\n")
-        for r in rows:
-            fh.write(",".join([
-                _fmt(r.g0), _fmt(r.kappa_l), _fmt(r.gamma), _fmt(r.T_f),
-                _fmt(r.T_g), str(r.n_phi), r.case, _fmt(r.P), _fmt(r.F),
-                _fmt(r.phase), _fmt(r.loss_atom), _fmt(r.loss_cavity),
-                r.error.replace(",", ";").replace("\n", " "),
-            ]) + "\n")
+def write_sweep_csv(rows, dest, header_comment: str | None = None) -> None:
+    """Write sweep rows in the fixed CSV schema (12 significant digits) to a
+    file path or to an open text stream."""
+    if not hasattr(dest, "write"):
+        with open(dest, "w", encoding="utf-8", newline="\n") as fh:
+            write_sweep_csv(rows, fh, header_comment)
+        return
+    if header_comment:
+        dest.write(f"# {header_comment}\n")
+    dest.write(SWEEP_CSV_HEADER + "\n")
+    for r in rows:
+        dest.write(",".join([
+            _fmt(r.g0), _fmt(r.kappa_l), _fmt(r.gamma), _fmt(r.T_f),
+            _fmt(r.T_g), str(r.n_phi), r.case, _fmt(r.P), _fmt(r.F),
+            _fmt(r.phase), _fmt(r.loss_atom), _fmt(r.loss_cavity),
+            r.error.replace(",", ";").replace("\n", " "),
+        ]) + "\n")

@@ -106,6 +106,28 @@ class TestSweep:
                             "P,F,phase,loss_atom,loss_cavity,error")
         assert len(lines) == 4
 
+    def test_stdout_matches_out_file(self, capsys, tmp_path):
+        path = tmp_path / "sweep.csv"
+        argv = ("sweep", "--case", "bare", "--kappa-l", "0,0.2", "--Tf", "10")
+        code_f, _, _ = run(capsys, *argv, "--out", str(path))
+        code_s, out, _ = run(capsys, *argv)
+        assert code_f == code_s == EXIT_OK
+        assert out.encode("utf-8") == path.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ("reflect", "--case", "coupled", "--g0", "1", "--gamma", "1"),
+    ("sweep", "--case", "coupled", "--g0", "1", "--gamma", "1"),
+    ("figures", "fig3"),
+])
+@pytest.mark.parametrize("n_phi", ["0", "-3"])
+def test_non_positive_n_phi_is_config_error(capsys, tmp_path, argv, n_phi):
+    code, out, err = run(capsys, *argv, "--n-phi", n_phi, *(
+        ("--out", str(tmp_path / "out")) if argv[0] == "figures" else ()))
+    assert code == EXIT_CONFIG_ERROR
+    assert "--n-phi must be at least 1" in err
+    assert out == ""
+
 
 class TestCluster:
     def test_stats_and_csv(self, capsys, tmp_path):

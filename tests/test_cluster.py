@@ -222,6 +222,24 @@ class TestGrowthStatistics:
         assert stats.mean_delta == -10.0
         assert stats.floor_hits == 5
 
+    @pytest.mark.parametrize("P", [0.0, 0.45, 2.0 / 3.0, 0.9, 1.0])
+    @pytest.mark.parametrize("start", [0, 10, 2 * 300 + 10])
+    def test_walk_matches_per_attempt_loop(self, P, start):
+        m, n_trials, seed = 300, 30, 21
+        deltas, hits = [], 0
+        for trial in range(n_trials):
+            length, hit = start, False
+            for u in np.random.default_rng([seed, trial]).random(m):
+                length = length + 1 if u < P else max(length - 2, 0)
+                hit = hit or length == 0
+            deltas.append(length - start)
+            hits += hit
+        deltas = np.array(deltas, dtype=float)
+        stats = monte_carlo_growth(P, m, n_trials, seed, start_length=start)
+        assert stats.mean_delta == float(np.mean(deltas))
+        assert stats.std_err == float(np.std(deltas, ddof=1) / math.sqrt(n_trials))
+        assert stats.floor_hits == hits
+
     def test_chain_record_bookkeeping(self):
         rec = ChainRecord(length=3)
         rec.record(0, True)

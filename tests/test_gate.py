@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from photongate.core import (
     CavityParams,
+    PulseEnvelope,
     default_time_grid,
     g0_for_mean_coupling,
     make_sech_pulse,
 )
 from photongate.gate import (
+    _WPLATE,
     IDEAL_TARGET,
     BranchReflectivities,
     GateOutcome,
@@ -23,7 +25,7 @@ from photongate.gate import (
     two_sided_effective_params,
     write_gate_csv,
 )
-from photongate.reflection import reflect_bare, reflect_coupled
+from photongate.reflection import reflect_bare, reflect_coupled, reflect_envelope
 
 branch_strategy = st.builds(
     BranchReflectivities,
@@ -221,6 +223,67 @@ class TestGateFromSimulation:
         assert _overlap_up_to_phase(sim.psi_L.coefficients, plus_plus) == pytest.approx(
             1.0, abs=1e-9
         )
+
+
+def _per_branch_gate(pA, pB, f_in):
+    """The gate network with one reflect_envelope call per non-zero branch."""
+    grid, n_t = f_in.grid, f_in.grid.n_steps
+
+    def wplate(v):
+        return np.einsum("pq,qabt->pabt", _WPLATE, v)
+
+    def cavity(v, p, atom_axis):
+        out = np.zeros_like(v)
+        for key in np.ndindex(2, 2, 2):
+            if np.any(v[key]):
+                coupled = key[0] == 1 and key[atom_axis] == 1
+                rec = reflect_envelope(p, PulseEnvelope(grid, v[key]), coupled)
+                out[key] = rec.f_out_raw.samples
+        return out
+
+    envs = np.zeros((2, 2, 2, n_t), dtype=complex)
+    envs[0] = 0.5 * f_in.samples
+    envs = wplate(cavity(wplate(cavity(wplate(envs), pA, 1)), pB, 2))
+
+    def stats(branches):
+        rho = np.trapezoid(branches[:, None, :] * np.conj(branches[None, :, :]),
+                           dx=grid.dt, axis=2)
+        P = float(np.trace(rho).real)
+        F = math.sqrt(max(float(np.vdot(IDEAL_TARGET, rho / P @ IDEAL_TARGET).real), 0.0))
+        state = np.linalg.eigh(rho / P)[1][:, -1]
+        return P, F, state / np.linalg.norm(state)
+
+    P_L, F_L, psi_L = stats(envs[0].reshape(4, n_t))
+    P_R, _, psi_R_raw = stats(envs[1].reshape(4, n_t))
+    _, F_R, _ = stats(envs[1].reshape(4, n_t)[[1, 0, 3, 2]])
+    return dict(
+        envs=envs, P_L=P_L, P_R=P_R, F_L=F_L, F_R=F_R, psi_L=psi_L, psi_R_raw=psi_R_raw,
+        F_avg=(P_L * F_L + P_R * F_R) / (P_L + P_R),
+        P0=reflect_envelope(pA, f_in, coupled=False).P,
+        P1=reflect_envelope(pA, f_in, coupled=True).P,
+    )
+
+
+class TestBatchedGate:
+    def test_equals_per_branch_reflections(self):
+        pA = CavityParams(g0=g0_for_mean_coupling(2.5), gamma=1.0, kappa_l=0.05,
+                          T_g=50.0, phi=0.4)
+        pB = CavityParams(g0=g0_for_mean_coupling(3.5), gamma=1.0, kappa_l=0.02,
+                          T_g=125.0, phi=1.9)
+        f = make_sech_pulse(10.0, default_time_grid(10.0, pB, dt=0.02))
+        sim = gate_from_simulation(pA, pB, f)
+        ref = _per_branch_gate(pA, pB, f)
+        for (pol, a, b), env in sim.branch_envelopes.items():
+            want = ref["envs"]["LR".index(pol), a, b]
+            assert np.array_equal(env.samples.view(float), want.view(float))
+        for name in ("P_L", "P_R", "P0", "P1", "F_L"):
+            assert getattr(sim, name) == ref[name], name
+        assert sim.P_total == ref["P_L"] + ref["P_R"]
+        assert np.array_equal(sim.psi_L.coefficients, ref["psi_L"])
+        assert np.array_equal(sim.psi_R_raw.coefficients, ref["psi_R_raw"])
+        # F_R is read off the permuted density matrix, not recomputed
+        assert abs(sim.F_R - ref["F_R"]) <= 1e-12
+        assert abs(sim.F_avg - ref["F_avg"]) <= 1e-12
 
 
 class TestGateCsv:

@@ -7,6 +7,7 @@ from photongate.core import CavityParams, default_time_grid, make_sech_pulse
 from photongate.reflection import (
     SWEEP_CSV_HEADER,
     SolverError,
+    _integrate,
     reflect_bare,
     reflect_coupled,
     reflect_coupled_motion_averaged,
@@ -116,6 +117,28 @@ class TestMotionAverage:
             reflect_coupled_motion_averaged(p, f, n_phi=0)
 
 
+class TestBatchedKernel:
+    def test_columns_match_single_calls_bitwise(self):
+        # mixed coupled and bare columns, each with its own drive and phase,
+        # over several precompute chunks
+        p = CavityParams(g0=3.0, gamma=1.0, kappa_l=0.1, T_g=50.0)
+        grid = default_time_grid(10.0, p, dt=0.02)
+        t = grid.times()
+        sech = make_sech_pulse(10.0, grid).samples
+        drives = np.stack([
+            sech,
+            (0.3 - 0.7j) * sech,
+            np.exp(1j * t / 7.0) * make_sech_pulse(6.0, grid).samples,
+        ], axis=1)
+        phis = np.array([0.3, 1.1, 2.0])
+        coupled = np.array([True, False, True])
+        c, e = _integrate(p, drives, grid, phis, coupled)
+        for i in range(3):
+            c1, e1 = _integrate(p, drives[:, i], grid, phis[i:i + 1], coupled[i])
+            assert np.array_equal(c[:, i].copy().view(float), c1[:, 0].view(float))
+            assert np.array_equal(e[:, i].copy().view(float), e1[:, 0].view(float))
+
+
 class TestNumerics:
     def test_halving_dt(self):
         p = CavityParams(g0=2.0, gamma=1.0, kappa_l=0.1, T_g=50.0)
@@ -173,6 +196,11 @@ class TestSweep:
             sweep("bare", kappa_l_values=[])
         with pytest.raises(ValueError):
             sweep("nonsense")
+
+    def test_non_positive_n_phi_rejected(self):
+        for n_phi in (0, -3):
+            with pytest.raises(ValueError, match="n_phi"):
+                sweep("coupled", g0_values=[1.0], gamma_values=[1.0], n_phi=n_phi)
 
     def test_csv_format(self, tmp_path):
         rows = sweep("bare", kappa_l_values=[0.0, 0.2], T_f_values=[10.0])
