@@ -123,8 +123,11 @@ def _grid_and_pulse(settings: dict, p: CavityParams):
         kwargs["dt"] = float(settings["dt"])
     if settings.get("window") is not None:
         kwargs["window_halfwidth"] = float(settings["window"])
-    grid = default_time_grid(tf, p, **kwargs)
-    return grid, make_sech_pulse(tf, grid)
+    try:
+        grid = default_time_grid(tf, p, **kwargs)
+        return grid, make_sech_pulse(tf, grid)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _config_comment(command: str, settings: dict, extra: dict | None = None) -> str:
@@ -189,16 +192,19 @@ def cmd_sweep(args) -> int:
             return val
         return [float(settings[key])]
 
-    rows = sweep(
-        args.case,
-        g0_values=rng_of("g0", "g0"),
-        kappa_l_values=rng_of("kappa_l", "kappa_l"),
-        gamma_values=rng_of("gamma", "gamma"),
-        T_f_values=rng_of("Tf", "T_f"),
-        T_g_values=rng_of("Tg", "T_g"),
-        n_phi=n_phi,
-        dt=settings.get("dt"),
-    )
+    try:
+        rows = sweep(
+            args.case,
+            g0_values=rng_of("g0", "g0"),
+            kappa_l_values=rng_of("kappa_l", "kappa_l"),
+            gamma_values=rng_of("gamma", "gamma"),
+            T_f_values=rng_of("Tf", "T_f"),
+            T_g_values=rng_of("Tg", "T_g"),
+            n_phi=n_phi,
+            dt=settings.get("dt"),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     comment = _config_comment("sweep", settings, {"case": args.case, "n_phi": n_phi})
     if args.out:
         write_sweep_csv(rows, args.out, comment)

@@ -141,14 +141,19 @@ def default_time_grid(
 
     The window is [-window_halfwidth*T_f, +window_halfwidth*T_f] and the
     step defaults to min(T_f/2000, 1/(20*max(g0, kappa_c+kappa_l, gamma))).
+    Raises ValueError unless T_f, dt and window_halfwidth are positive and
+    finite.
     """
-    if T_f <= 0:
-        raise ValueError("T_f must be positive")
+    if not (math.isfinite(T_f) and T_f > 0):
+        raise ValueError(f"T_f must be positive and finite, got {T_f}")
     if dt is None:
         fastest = 1.0
         if params is not None:
             fastest = max(params.g0, params.kappa_c + params.kappa_l, params.gamma)
         dt = min(T_f / 2000.0, 1.0 / (20.0 * max(fastest, 1e-12)))
+    for name, v in (("dt", dt), ("window_halfwidth", window_halfwidth)):
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be positive and finite, got {v}")
     half = window_halfwidth * T_f
     n_intervals = int(math.ceil(2.0 * half / dt))
     return TimeGrid(-half, -half + n_intervals * dt, dt)

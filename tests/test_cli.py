@@ -129,6 +129,26 @@ def test_non_positive_n_phi_is_config_error(capsys, tmp_path, argv, n_phi):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--case", "bare", "--kappa-l", ","),
+    ("sweep", "--case", "bare", "--Tf", "inf"),
+    ("reflect", "--case", "bare", "--dt", "0"),
+    ("sweep", "--case", "bare", "--dt", "0"),
+    ("reflect", "--case", "bare", "--dt", "-1"),
+    ("sweep", "--case", "bare", "--dt", "-1"),
+    ("reflect", "--case", "bare", "--dt", "nan"),
+    ("sweep", "--case", "bare", "--dt", "nan"),
+    ("reflect", "--case", "bare", "--window", "nan"),
+    ("reflect", "--case", "bare", "--window", "-1"),
+    ("reflect", "--case", "bare", "--Tf", "nan"),
+])
+def test_bad_numeric_input_is_config_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_CONFIG_ERROR
+    assert err.startswith("config error: ")
+    assert out == ""
+
+
 class TestCluster:
     def test_stats_and_csv(self, capsys, tmp_path):
         out_path = tmp_path / "growth.csv"

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from photongate.core import CavityParams, default_time_grid, make_sech_pulse
+from photongate.core import CavityParams, TimeGrid, default_time_grid, make_sech_pulse
 from photongate.reflection import (
+    _CHUNK,
     SWEEP_CSV_HEADER,
     SolverError,
     _integrate,
@@ -137,6 +138,37 @@ class TestBatchedKernel:
             c1, e1 = _integrate(p, drives[:, i], grid, phis[i:i + 1], coupled[i])
             assert np.array_equal(c[:, i].copy().view(float), c1[:, 0].view(float))
             assert np.array_equal(e[:, i].copy().view(float), e1[:, 0].view(float))
+
+    @pytest.mark.parametrize("g0,coupled", [(3.0, False), (0.0, True)])
+    def test_bare_batch_matches_mixed_batch_bitwise(self, g0, coupled):
+        # an all-bare batch runs the scalar recurrence; the same columns next
+        # to a coupled column run the 2x2 loop
+        p = CavityParams(g0=3.0, gamma=1.0, kappa_l=0.1, T_g=50.0)
+        grid = default_time_grid(10.0, p, dt=0.02)
+        assert grid.n_steps > 2 * (_CHUNK // 3)
+        t = grid.times()
+        sech = make_sech_pulse(10.0, grid).samples
+        drives = np.stack([
+            sech,
+            (0.3 - 0.7j) * sech,
+            np.exp(1j * t / 7.0) * make_sech_pulse(6.0, grid).samples,
+        ], axis=1)
+        phis = np.array([0.3, 1.1, 2.0])
+        c, e = _integrate(CavityParams(g0=g0, gamma=1.0, kappa_l=0.1, T_g=50.0),
+                          drives, grid, phis, coupled)
+        cm, em = _integrate(p, np.column_stack([drives, sech]), grid,
+                            np.append(phis, 0.5), np.array([False] * 3 + [True]))
+        assert np.all(e == 0)
+        assert np.array_equal(c.view(float), cm[:, :3].copy().view(float))
+        assert np.array_equal(e.view(float), em[:, :3].copy().view(float))
+
+    def test_divergent_bare_step_raises(self):
+        # h (kappa_c + kappa_l)/2 = 4.55 lies outside the RK4 stability
+        # region, so the bare recurrence grows by about 9 per step
+        p = CavityParams(kappa_l=0.3)
+        f = make_sech_pulse(10.0, TimeGrid(-2000.0, 2000.0, 7.0))
+        with pytest.raises(SolverError):
+            reflect_bare(p, f)
 
 
 class TestNumerics:
