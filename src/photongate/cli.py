@@ -12,18 +12,17 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .cluster import monte_carlo_growth, write_growth_csv
 from .core import (
-    CavityParams,
+    CONFIG_KEYS,
     ConfigError,
-    WindowTooSmallError,
     default_time_grid,
     g0_for_mean_coupling,
     make_sech_pulse,
+    params_from_config,
     parse_config,
+    write_csv,
 )
 from .gate import BranchReflectivities, two_cavity_gate, write_gate_csv
 from .reflection import (
@@ -47,12 +46,6 @@ _DEFAULTS = {
     "dt": None, "window": None,
 }
 
-# CLI flag name -> config key
-_PARAM_FLAGS = {
-    "g0": "g0", "kappa_l": "kappa_l", "gamma": "gamma",
-    "Tf": "T_f", "Tg": "T_g", "phi": "phi", "dt": "dt", "window": "window",
-}
-
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
@@ -64,8 +57,9 @@ def _add_param_flags(parser: argparse.ArgumentParser, lists: bool = False) -> No
     parser.add_argument("--kappa-l", dest="kappa_l", type=conv,
                         help="unwanted cavity loss rate [kappa_c]")
     parser.add_argument("--gamma", type=conv, help="spontaneous emission rate [kappa_c]")
-    parser.add_argument("--Tf", type=conv, help="pulse width [1/kappa_c]")
-    parser.add_argument("--Tg", type=conv, help="atomic motion period [1/kappa_c]")
+    parser.add_argument("--Tf", dest="T_f", type=conv, help="pulse width [1/kappa_c]")
+    parser.add_argument("--Tg", dest="T_g", type=conv,
+                        help="atomic motion period [1/kappa_c]")
     parser.add_argument("--phi", type=float, help="motion phase [rad]")
     parser.add_argument("--dt", type=float, help="integrator step [1/kappa_c]")
     parser.add_argument("--window", type=float,
@@ -89,22 +83,11 @@ def _load_settings(args) -> dict:
                 settings.update(parse_config(fh.read()))
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    for flag, key in _PARAM_FLAGS.items():
-        val = getattr(args, flag, None)
+    for key in CONFIG_KEYS:
+        val = getattr(args, key, None)
         if val is not None:
             settings[key] = val
     return settings
-
-
-def _params(settings: dict) -> CavityParams:
-    try:
-        return CavityParams(
-            g0=float(settings["g0"]), kappa_l=float(settings["kappa_l"]),
-            gamma=float(settings["gamma"]), T_g=float(settings["T_g"]),
-            phi=float(settings["phi"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _n_phi(args, default: int) -> int:
@@ -116,18 +99,15 @@ def _n_phi(args, default: int) -> int:
     return args.n_phi
 
 
-def _grid_and_pulse(settings: dict, p: CavityParams):
+def _grid_and_pulse(settings: dict, p):
     tf = float(settings["T_f"])
     kwargs = {}
     if settings.get("dt") is not None:
         kwargs["dt"] = float(settings["dt"])
     if settings.get("window") is not None:
         kwargs["window_halfwidth"] = float(settings["window"])
-    try:
-        grid = default_time_grid(tf, p, **kwargs)
-        return grid, make_sech_pulse(tf, grid)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    grid = default_time_grid(tf, p, **kwargs)
+    return grid, make_sech_pulse(tf, grid)
 
 
 def _config_comment(command: str, settings: dict, extra: dict | None = None) -> str:
@@ -140,14 +120,15 @@ def _config_comment(command: str, settings: dict, extra: dict | None = None) -> 
 
 def cmd_reflect(args) -> int:
     settings = _load_settings(args)
-    if args.case not in ("bare", "coupled"):
-        raise ConfigError(f"--case must be 'bare' or 'coupled', got {args.case!r}")
     n_phi = _n_phi(args, 1)
-    p = _params(settings)
+    p = params_from_config(settings)
     grid, f_in = _grid_and_pulse(settings, p)
     if args.case == "bare":
         rec = reflect_bare(p, f_in)
     elif n_phi > 1:
+        if args.out:
+            raise ConfigError("--out dumps one envelope; a motion average over "
+                              f"--n-phi {n_phi} phases has none")
         rec = reflect_coupled_motion_averaged(p, f_in, n_phi, keep_envelopes=False)
     else:
         rec = reflect_coupled(p, f_in)
@@ -156,16 +137,11 @@ def cmd_reflect(args) -> int:
     for name in ("P", "F", "phase", "loss_atom", "loss_cavity"):
         print(f"{name} = {_fmt(getattr(rec, name))}")
     print(f"flux_residual = {_fmt(rec.flux_residual)}")
-    if args.out and hasattr(rec, "f_out_raw"):
-        t = grid.times()
-        fo = rec.f_out_raw.samples
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"# {_config_comment('reflect', settings, {'case': args.case})}\n")
-            fh.write("t,f_in_re,f_in_im,f_out_re,f_out_im\n")
-            for k in range(len(t)):
-                fh.write(",".join(_fmt(v) for v in (
-                    t[k], f_in.samples[k].real, f_in.samples[k].imag,
-                    fo[k].real, fo[k].imag)) + "\n")
+    if args.out:
+        f, fo = f_in.samples, rec.f_out_raw.samples
+        write_csv(args.out, "t,f_in_re,f_in_im,f_out_re,f_out_im",
+                  zip(grid.times(), f.real, f.imag, fo.real, fo.imag),
+                  _config_comment("reflect", settings, {"case": args.case}))
     return EXIT_OK
 
 
@@ -182,29 +158,25 @@ def cmd_gate(args) -> int:
 
 def cmd_sweep(args) -> int:
     settings = _load_settings(args)
-    if args.case not in ("bare", "coupled"):
-        raise ConfigError(f"--case must be 'bare' or 'coupled', got {args.case!r}")
     n_phi = _n_phi(args, 1)
+    if settings["window"] is not None:
+        raise ConfigError("sweep always uses the default window; "
+                          "drop window from the flags and the config file")
 
-    def rng_of(flag, key):
-        val = getattr(args, flag)
-        if val is not None:
-            return val
-        return [float(settings[key])]
+    def rng_of(key):
+        val = settings[key]
+        return val if isinstance(val, list) else [float(val)]
 
-    try:
-        rows = sweep(
-            args.case,
-            g0_values=rng_of("g0", "g0"),
-            kappa_l_values=rng_of("kappa_l", "kappa_l"),
-            gamma_values=rng_of("gamma", "gamma"),
-            T_f_values=rng_of("Tf", "T_f"),
-            T_g_values=rng_of("Tg", "T_g"),
-            n_phi=n_phi,
-            dt=settings.get("dt"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    rows = sweep(
+        args.case,
+        g0_values=rng_of("g0"),
+        kappa_l_values=rng_of("kappa_l"),
+        gamma_values=rng_of("gamma"),
+        T_f_values=rng_of("T_f"),
+        T_g_values=rng_of("T_g"),
+        n_phi=n_phi,
+        dt=settings.get("dt"),
+    )
     comment = _config_comment("sweep", settings, {"case": args.case, "n_phi": n_phi})
     if args.out:
         write_sweep_csv(rows, args.out, comment)
@@ -219,8 +191,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    if args.P is None:
-        raise ConfigError("--P is required for the cluster command")
     stats = monte_carlo_growth(args.P, args.m, args.trials, seed=args.seed)
     law = (3.0 * args.P - 2.0) * args.m
     print(f"P={_fmt(args.P)} m={args.m} trials={args.trials} seed={args.seed}")
@@ -238,10 +208,7 @@ def cmd_cluster(args) -> int:
 
 def cmd_verify(args) -> int:
     suites = sorted(SUITES) if args.suite == "all" else [args.suite]
-    try:
-        results = [res for name in suites for res in run_suite(name)]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    results = [res for name in suites for res in run_suite(name)]
     failed = 0
     for res in results:
         print(res.line())
@@ -288,8 +255,6 @@ def cmd_figures(args) -> int:
         rows = [(P0, r, two_cavity_gate(BranchReflectivities(P0=P0, r=r)))
                 for r in FIG5_R]
         write_gate_csv(rows, path, _config_comment("figures fig5", {"P0": P0}))
-    else:
-        raise ConfigError(f"unknown figure {args.which!r}")
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -352,7 +317,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, WindowTooSmallError) as exc:
+    except ValueError as exc:  # ConfigError, WindowTooSmallError, domain checks
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except SolverError as exc:

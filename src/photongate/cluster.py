@@ -15,14 +15,15 @@ must work for every basis and outcome.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .core import write_csv
 
 __all__ = [
     "MAX_QUBITS",
     "SmallState",
-    "ChainRecord",
     "GrowthStats",
     "MeasurementResult",
     "make_linear_cluster",
@@ -40,7 +41,6 @@ __all__ = [
     "stabilizers_hold",
     "state_fidelity",
     "monte_carlo_growth",
-    "simulate_chain",
     "write_growth_csv",
     "GROWTH_CSV_HEADER",
 ]
@@ -124,12 +124,7 @@ def apply_cz(state: SmallState, i: int, j: int) -> SmallState:
 
 def make_linear_cluster(n: int) -> SmallState:
     """1D cluster state: |+>^n with CZ between every consecutive pair."""
-    if not 1 <= n <= MAX_QUBITS:
-        raise SizeError(f"n must lie in 1..{MAX_QUBITS}, got {n}")
-    state = SmallState(np.full(2**n, 2.0 ** (-n / 2.0), dtype=complex))
-    for i in range(1, n):
-        state = apply_cz(state, i, i + 1)
-    return state
+    return graph_state(n, [(i, i + 1) for i in range(1, n)])
 
 
 def graph_state(n: int, edges) -> SmallState:
@@ -368,21 +363,6 @@ def join_cross(
     return break_chain_at(chain_a, a, rng=rng) + break_chain_at(chain_b, b, rng=rng)
 
 
-@dataclass
-class ChainRecord:
-    """Length bookkeeping of one chain under repeated add-on attempts."""
-
-    length: int
-    history: list[tuple[int, bool, int]] = field(default_factory=list)
-
-    def record(self, attempt: int, success: bool) -> None:
-        if success:
-            self.length += 1
-        else:
-            self.length = max(self.length - 2, 0)
-        self.history.append((attempt, success, self.length))
-
-
 @dataclass(frozen=True)
 class GrowthStats:
     """Monte Carlo statistics of the net chain-length change."""
@@ -394,15 +374,6 @@ class GrowthStats:
     mean_delta: float
     std_err: float
     floor_hits: int
-
-
-def simulate_chain(P: float, m: int, rng: np.random.Generator, start_length: int = 10) -> ChainRecord:
-    """One bookkeeping-only growth trajectory with the length floored at 0."""
-    rec = ChainRecord(length=start_length)
-    draws = rng.random(m)
-    for k in range(m):
-        rec.record(k, bool(draws[k] < P))
-    return rec
 
 
 def monte_carlo_growth(
@@ -449,14 +420,10 @@ def monte_carlo_growth(
 GROWTH_CSV_HEADER = "P,m,n_trials,seed,mean_delta,std_err,floor_hits"
 
 
-def write_growth_csv(stats_list, path, header_comment: str | None = None) -> None:
-    """Write GrowthStats rows in the fixed CSV schema."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write(GROWTH_CSV_HEADER + "\n")
-        for s in stats_list:
-            fh.write(
-                f"{s.P:.12g},{s.m},{s.n_trials},{s.seed},"
-                f"{s.mean_delta:.12g},{s.std_err:.12g},{s.floor_hits}\n"
-            )
+def write_growth_csv(stats_list, dest, header_comment: str | None = None) -> None:
+    """Write GrowthStats rows in the fixed CSV schema to a file path or to an
+    open text stream."""
+    write_csv(dest, GROWTH_CSV_HEADER, (
+        (s.P, s.m, s.n_trials, s.seed, s.mean_delta, s.std_err, s.floor_hits)
+        for s in stats_list
+    ), header_comment)

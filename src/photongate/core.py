@@ -8,8 +8,9 @@ unit system.
 
 from __future__ import annotations
 
+import contextlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import j0
@@ -63,6 +64,10 @@ class CavityParams:
     phi: float = 0.0
 
     def __post_init__(self):
+        for name in ("kappa_c", "T_g", "phi"):
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
         if self.kappa_c <= 0:
             raise ValueError(f"kappa_c must be positive, got {self.kappa_c}")
         if self.T_g <= 0:
@@ -254,3 +259,33 @@ def params_from_config(values: dict[str, float]) -> CavityParams:
         return CavityParams(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+
+
+def _csv_cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, str):
+        return v.replace(",", ";").replace("\n", " ")
+    if isinstance(v, int):
+        return str(v)
+    return f"{v:.12g}"
+
+
+def write_csv(dest, header: str, rows, header_comment: str | None = None) -> None:
+    """Write rows of cells under a header line to a file path or to an open
+    text stream, preceded by a ``# header_comment`` line when one is given.
+
+    Cells: None is empty, an int is written as is, a float with 12
+    significant digits (so identically seeded reruns are byte-identical),
+    and a string with ',' replaced by ';' and newlines by spaces.
+    """
+    if hasattr(dest, "write"):
+        ctx = contextlib.nullcontext(dest)
+    else:
+        ctx = open(dest, "w", encoding="utf-8", newline="\n")
+    with ctx as fh:
+        if header_comment:
+            fh.write(f"# {header_comment}\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(_csv_cell(v) for v in row) + "\n")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import CavityParams, PulseEnvelope
+from .core import CavityParams, PulseEnvelope, write_csv
 from .reflection import ReflectionRecord, _integrate
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "BranchReflectivities",
     "TwoQubitState",
     "GateOutcome",
-    "SimulatedGateOutcome",
     "single_cavity_entangle",
     "two_cavity_gate",
     "circuit_oracle",
@@ -42,6 +41,14 @@ IDEAL_TARGET = np.array([1.0, 1.0, 1.0, -1.0]) / 2.0
 
 # Quarter-wave plate acting on (|L>, |R>): L -> (L+R)/sqrt2, R -> (L-R)/sqrt2.
 _WPLATE = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+
+# sigma_x on atom B permutes the basis |00>,|01>,|10>,|11> this way.
+_SIGMA_X_B = [1, 0, 3, 2]
+
+
+def _wplate(v: np.ndarray) -> np.ndarray:
+    """Apply the quarter-wave plate to the polarization axis (axis 0) of v."""
+    return np.einsum("pq,q...->p...", _WPLATE, v)
 
 
 @dataclass(frozen=True)
@@ -58,8 +65,8 @@ class BranchReflectivities:
     def __post_init__(self):
         if not (0.0 < self.P0 <= 1.0):
             raise ValueError(f"P0 must lie in (0, 1], got {self.P0}")
-        if self.r < 0.0:
-            raise ValueError(f"r must be non-negative, got {self.r}")
+        if not (math.isfinite(self.r) and self.r >= 0.0):
+            raise ValueError(f"r must be finite and non-negative, got {self.r}")
 
     @property
     def amp0(self) -> float:
@@ -86,7 +93,7 @@ class TwoQubitState:
         if c.shape != (4,):
             raise ValueError("a two-qubit state needs exactly 4 amplitudes")
         nrm = np.linalg.norm(c)
-        if abs(nrm - 1.0) > 1e-12:
+        if not abs(nrm - 1.0) <= 1e-12:
             raise ValueError(f"state norm {nrm} deviates from 1 beyond 1e-12")
         object.__setattr__(self, "coefficients", c)
 
@@ -94,30 +101,53 @@ class TwoQubitState:
         return float(abs(np.vdot(np.asarray(target, dtype=complex), self.coefficients)))
 
     def sigma_x_on_b(self) -> "TwoQubitState":
-        c = self.coefficients
-        return TwoQubitState(np.array([c[1], c[0], c[3], c[2]]))
+        return TwoQubitState(self.coefficients[_SIGMA_X_B])
 
 
 @dataclass(frozen=True)
 class GateOutcome:
     """Detection probabilities and post-selected states of the two-cavity gate.
 
-    psi_R is reported after the sigma_x correction on atom B; the raw
-    pre-correction state is kept in psi_R_raw.
+    psi_R is psi_R_raw after the sigma_x correction on atom B, and F_R is
+    its fidelity.  Only gate_from_simulation fills P0 and P1 (cavity A's
+    bare and coupled reflected powers) and branch_envelopes.
     """
 
     P_L: float
     P_R: float
     psi_L: TwoQubitState
-    psi_R: TwoQubitState
     psi_R_raw: TwoQubitState
     F_L: float
     F_R: float
-    F_avg: float
+    P0: float | None = None
+    P1: float | None = None
+    #: branch envelopes keyed by (pol, a, b) with pol in {"L", "R"}
+    branch_envelopes: dict | None = None
+
+    @property
+    def psi_R(self) -> TwoQubitState:
+        return self.psi_R_raw.sigma_x_on_b()
+
+    @property
+    def F_avg(self) -> float:
+        """Probability-weighted mean of the branch fidelities."""
+        return (self.P_L * self.F_L + self.P_R * self.F_R) / (self.P_L + self.P_R)
 
     @property
     def P_total(self) -> float:
         return self.P_L + self.P_R
+
+    @property
+    def r(self) -> float:
+        return self.P1 / self.P0
+
+
+def _pure_outcome(P_L, P_R, psi_L: TwoQubitState, psi_R_raw: TwoQubitState) -> GateOutcome:
+    """Outcome whose branch fidelities are the overlaps of the pure
+    post-selected states with the ideal target."""
+    F_L = psi_L.fidelity_to(IDEAL_TARGET)
+    F_R = psi_R_raw.sigma_x_on_b().fidelity_to(IDEAL_TARGET)
+    return GateOutcome(P_L, P_R, psi_L, psi_R_raw, F_L, F_R)
 
 
 def single_cavity_entangle(b: BranchReflectivities):
@@ -151,12 +181,7 @@ def two_cavity_gate(b: BranchReflectivities) -> GateOutcome:
     psi_L = TwoQubitState(pre_L * np.array([1.0, 1.0, 1.0, -(r + 2.0 * sr - 1.0) / 2.0]))
     pre_R = P0 / math.sqrt(8.0 * P_R)
     psi_R_raw = TwoQubitState(pre_R * np.array([1.0, 1.0, -sr, (r + 1.0) / 2.0]))
-    psi_R = psi_R_raw.sigma_x_on_b()
-
-    F_L = psi_L.fidelity_to(IDEAL_TARGET)
-    F_R = psi_R.fidelity_to(IDEAL_TARGET)
-    F_avg = (P_L * F_L + P_R * F_R) / (P_L + P_R)
-    return GateOutcome(P_L, P_R, psi_L, psi_R, psi_R_raw, F_L, F_R, F_avg)
+    return _pure_outcome(P_L, P_R, psi_L, psi_R_raw)
 
 
 def circuit_oracle(b: BranchReflectivities) -> GateOutcome:
@@ -174,9 +199,6 @@ def circuit_oracle(b: BranchReflectivities) -> GateOutcome:
     psi = np.zeros((2, 2, 2), dtype=complex)
     psi[0] = 0.5
 
-    def wplate(v):
-        return np.einsum("pq,qab->pab", _WPLATE, v)
-
     def reflect(v, atom_axis):
         out = amp0 * v.copy()
         if atom_axis == 1:
@@ -185,11 +207,11 @@ def circuit_oracle(b: BranchReflectivities) -> GateOutcome:
             out[1, :, 1] = amp1 * v[1, :, 1]
         return out
 
-    psi = wplate(psi)
+    psi = _wplate(psi)
     psi = reflect(psi, atom_axis=1)
-    psi = wplate(psi)
+    psi = _wplate(psi)
     psi = reflect(psi, atom_axis=2)
-    psi = wplate(psi)
+    psi = _wplate(psi)
 
     amps_L = psi[0].reshape(4)
     amps_R = psi[1].reshape(4)
@@ -198,12 +220,7 @@ def circuit_oracle(b: BranchReflectivities) -> GateOutcome:
 
     psi_L = TwoQubitState(amps_L / math.sqrt(P_L))
     psi_R_raw = TwoQubitState(amps_R / math.sqrt(P_R))
-    psi_R = psi_R_raw.sigma_x_on_b()
-
-    F_L = psi_L.fidelity_to(IDEAL_TARGET)
-    F_R = psi_R.fidelity_to(IDEAL_TARGET)
-    F_avg = (P_L * F_L + P_R * F_R) / (P_L + P_R)
-    return GateOutcome(P_L, P_R, psi_L, psi_R, psi_R_raw, F_L, F_R, F_avg)
+    return _pure_outcome(P_L, P_R, psi_L, psi_R_raw)
 
 
 def two_sided_effective_params(
@@ -221,40 +238,6 @@ def two_sided_effective_params(
     if base is None:
         base = CavityParams()
     return replace(base, kappa_c=2.0 * kappa_c_prime)
-
-
-@dataclass(frozen=True)
-class SimulatedGateOutcome:
-    """Envelope-resolved gate outcome.
-
-    Branch envelopes are kept per detector and atomic configuration; the
-    post-selected states are the dominant eigenvectors of the conditional
-    atomic density matrices (exactly pure when all branch envelopes share
-    one temporal shape), and the fidelities account for the residual
-    temporal mode mismatch.
-    """
-
-    P_L: float
-    P_R: float
-    psi_L: TwoQubitState
-    psi_R: TwoQubitState
-    psi_R_raw: TwoQubitState
-    F_L: float
-    F_R: float
-    F_avg: float
-    #: measured single-cavity quantities of cavity A (bare P, coupled P)
-    P0: float
-    P1: float
-    #: branch envelopes keyed by (pol, a, b) with pol in {"L", "R"}
-    branch_envelopes: dict
-
-    @property
-    def P_total(self) -> float:
-        return self.P_L + self.P_R
-
-    @property
-    def r(self) -> float:
-        return self.P1 / self.P0
 
 
 def _branch_stats(envs: np.ndarray, dt: float):
@@ -302,7 +285,7 @@ def _cavity(v: np.ndarray, p: CavityParams, grid, atom_axis: int, probe=None):
 
 def gate_from_simulation(
     pA: CavityParams, pB: CavityParams, f_in: PulseEnvelope
-) -> SimulatedGateOutcome:
+) -> GateOutcome:
     """Propagate the full photon envelope through the two-cavity network.
 
     One envelope is tracked per (polarization, atom A state, atom B state)
@@ -319,21 +302,14 @@ def gate_from_simulation(
     envs = np.zeros((2, 2, 2, n_t), dtype=complex)
     envs[0] = 0.5 * f_in.samples  # photon |L>, atoms (|0>+|1>)(|0>+|1>)/2
 
-    def wplate(v):
-        return np.einsum("pq,qabt->pabt", _WPLATE, v)
-
-    envs, (P0, P1) = _cavity(wplate(envs), pA, grid, atom_axis=1, probe=f_in.samples)
-    envs, _ = _cavity(wplate(envs), pB, grid, atom_axis=2)
-    envs = wplate(envs)
+    envs, (P0, P1) = _cavity(_wplate(envs), pA, grid, atom_axis=1, probe=f_in.samples)
+    envs, _ = _cavity(_wplate(envs), pB, grid, atom_axis=2)
+    envs = _wplate(envs)
 
     P_L, rho_L, psi_L = _branch_stats(envs[0].reshape(4, n_t), dt)
     P_R, rho_R, psi_R_raw = _branch_stats(envs[1].reshape(4, n_t), dt)
-    psi_R = psi_R_raw.sigma_x_on_b()
     F_L = _target_fidelity(rho_L)
-    # sigma_x on B permutes the basis; evaluate F_R on the corrected order
-    perm = [1, 0, 3, 2]
-    F_R = _target_fidelity(rho_R[np.ix_(perm, perm)])
-    F_avg = (P_L * F_L + P_R * F_R) / (P_L + P_R)
+    F_R = _target_fidelity(rho_R[np.ix_(_SIGMA_X_B, _SIGMA_X_B)])
 
     branch_envelopes = {
         (pol_name, a, bb): PulseEnvelope(grid, envs[pol, a, bb])
@@ -341,22 +317,17 @@ def gate_from_simulation(
         for a in (0, 1)
         for bb in (0, 1)
     }
-    return SimulatedGateOutcome(
-        P_L=P_L, P_R=P_R, psi_L=psi_L, psi_R=psi_R, psi_R_raw=psi_R_raw,
-        F_L=F_L, F_R=F_R, F_avg=F_avg, P0=P0, P1=P1,
-        branch_envelopes=branch_envelopes,
-    )
+    return GateOutcome(P_L, P_R, psi_L, psi_R_raw, F_L, F_R, P0=P0, P1=P1,
+                       branch_envelopes=branch_envelopes)
 
 
 GATE_CSV_HEADER = "P0,r,P_L,P_R,P_total,F_L,F_R,F_avg"
 
 
-def write_gate_csv(rows, path, header_comment: str | None = None) -> None:
-    """Write (P0, r, GateOutcome) triples in the fixed r-sweep CSV schema."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write(GATE_CSV_HEADER + "\n")
-        for P0, r, out in rows:
-            vals = (P0, r, out.P_L, out.P_R, out.P_total, out.F_L, out.F_R, out.F_avg)
-            fh.write(",".join(f"{v:.12g}" for v in vals) + "\n")
+def write_gate_csv(rows, dest, header_comment: str | None = None) -> None:
+    """Write (P0, r, GateOutcome) triples in the fixed r-sweep CSV schema to
+    a file path or to an open text stream."""
+    write_csv(dest, GATE_CSV_HEADER, (
+        (P0, r, out.P_L, out.P_R, out.P_total, out.F_L, out.F_R, out.F_avg)
+        for P0, r, out in rows
+    ), header_comment)

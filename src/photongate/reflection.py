@@ -43,9 +43,9 @@ from .core import (
     PulseEnvelope,
     TimeGrid,
     TWO_PI,
-    coupling_at,
     default_time_grid,
     make_sech_pulse,
+    write_csv,
 )
 
 __all__ = [
@@ -355,10 +355,6 @@ class SweepRow:
     error: str = ""
 
 
-def _fmt(x) -> str:
-    return "" if x is None else f"{x:.12g}"
-
-
 def sweep(
     case: str,
     g0_values=(0.0,),
@@ -427,17 +423,8 @@ def sweep(
 def write_sweep_csv(rows, dest, header_comment: str | None = None) -> None:
     """Write sweep rows in the fixed CSV schema (12 significant digits) to a
     file path or to an open text stream."""
-    if not hasattr(dest, "write"):
-        with open(dest, "w", encoding="utf-8", newline="\n") as fh:
-            write_sweep_csv(rows, fh, header_comment)
-        return
-    if header_comment:
-        dest.write(f"# {header_comment}\n")
-    dest.write(SWEEP_CSV_HEADER + "\n")
-    for r in rows:
-        dest.write(",".join([
-            _fmt(r.g0), _fmt(r.kappa_l), _fmt(r.gamma), _fmt(r.T_f),
-            _fmt(r.T_g), str(r.n_phi), r.case, _fmt(r.P), _fmt(r.F),
-            _fmt(r.phase), _fmt(r.loss_atom), _fmt(r.loss_cavity),
-            r.error.replace(",", ";").replace("\n", " "),
-        ]) + "\n")
+    write_csv(dest, SWEEP_CSV_HEADER, (
+        (r.g0, r.kappa_l, r.gamma, r.T_f, r.T_g, r.n_phi, r.case,
+         r.P, r.F, r.phase, r.loss_atom, r.loss_cavity, r.error)
+        for r in rows
+    ), header_comment)

@@ -141,12 +141,47 @@ def test_non_positive_n_phi_is_config_error(capsys, tmp_path, argv, n_phi):
     ("reflect", "--case", "bare", "--window", "nan"),
     ("reflect", "--case", "bare", "--window", "-1"),
     ("reflect", "--case", "bare", "--Tf", "nan"),
+    ("cluster", "--P", "1.5"),
+    ("cluster", "--P", "0.7", "--m", "0"),
+    ("gate", "--P0", "0", "--r", "1"),
+    ("gate", "--P0", "0.5", "--r", "-1"),
+    ("gate", "--P0", "0.5", "--r", "nan"),
+    ("gate", "--P0", "0.5", "--r", "inf"),
+    ("reflect", "--case", "coupled", "--g0", "1", "--Tg", "nan"),
+    ("reflect", "--case", "coupled", "--g0", "1", "--phi", "nan"),
+    ("sweep", "--case", "bare", "--Tf", "10", "--window", "5"),
 ])
 def test_bad_numeric_input_is_config_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_CONFIG_ERROR
     assert err.startswith("config error: ")
     assert out == ""
+
+
+def test_fig5_bad_P0_is_config_error(capsys, tmp_path):
+    code, out, err = run(capsys, "figures", "fig5", "--P0", "2", "--out", str(tmp_path))
+    assert code == EXIT_CONFIG_ERROR
+    assert err.startswith("config error: ")
+    assert not (tmp_path / "fig5.csv").exists()
+
+
+def test_sweep_window_from_config_is_config_error(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("T_f=10\nwindow=5\n")
+    code, out, err = run(capsys, "sweep", "--case", "bare", "--config", str(cfg))
+    assert code == EXIT_CONFIG_ERROR
+    assert "window" in err
+    assert out == ""
+
+
+def test_envelope_dump_of_phase_average_is_config_error(capsys, tmp_path):
+    path = tmp_path / "env.csv"
+    code, out, err = run(capsys, "reflect", "--case", "coupled", "--g0", "1",
+                         "--n-phi", "4", "--out", str(path))
+    assert code == EXIT_CONFIG_ERROR
+    assert "--out" in err
+    assert out == ""
+    assert not path.exists()
 
 
 class TestCluster:

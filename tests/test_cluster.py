@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from photongate.cluster import (
-    ChainRecord,
     GrowthStats,
     MAX_QUBITS,
     ShapeError,
@@ -21,7 +20,6 @@ from photongate.cluster import (
     monte_carlo_growth,
     random_basis,
     recover_failure,
-    simulate_chain,
     split_measure,
     stabilizers_hold,
     state_fidelity,
@@ -239,20 +237,6 @@ class TestGrowthStatistics:
         assert stats.mean_delta == float(np.mean(deltas))
         assert stats.std_err == float(np.std(deltas, ddof=1) / math.sqrt(n_trials))
         assert stats.floor_hits == hits
-
-    def test_chain_record_bookkeeping(self):
-        rec = ChainRecord(length=3)
-        rec.record(0, True)
-        rec.record(1, False)
-        rec.record(2, False)
-        assert rec.length == 0
-        assert rec.history == [(0, True, 4), (1, False, 2), (2, False, 0)]
-
-    def test_simulate_chain_matches_record(self):
-        rng = np.random.default_rng([7, 0])
-        rec = simulate_chain(0.7, 100, rng, start_length=10)
-        assert len(rec.history) == 100
-        assert rec.history[-1][2] == rec.length
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):

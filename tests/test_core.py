@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from photongate.core import (
     mean_coupling,
     params_from_config,
     parse_config,
+    write_csv,
 )
 
 
@@ -28,6 +30,9 @@ class TestCavityParams:
     @pytest.mark.parametrize("kwargs", [
         {"kappa_c": 0.0}, {"kappa_c": -1.0}, {"T_g": 0.0},
         {"g0": -0.1}, {"gamma": -2.0}, {"kappa_l": float("nan")},
+        {"kappa_c": float("nan")}, {"kappa_c": float("inf")},
+        {"T_g": float("nan")}, {"T_g": float("inf")},
+        {"phi": float("nan")}, {"phi": float("inf")},
     ])
     def test_rejects_bad_rates(self, kwargs):
         with pytest.raises(ValueError):
@@ -142,3 +147,21 @@ class TestConfig:
         assert p.g0 == 1.0 and p.T_g == 77.0 and p.kappa_c == 1.0
         with pytest.raises(ConfigError):
             params_from_config({"g0": -1.0})
+
+
+class TestWriteCsv:
+    def test_cells_and_destinations(self, tmp_path):
+        rows = [(None, 3, 0.1 + 0.2, "a,b\nc"), (1.0, -2, 1e-20, "")]
+        path = tmp_path / "out.csv"
+        write_csv(path, "w,x,y,z", rows, "cfg")
+        assert path.read_text() == (
+            "# cfg\nw,x,y,z\n,3,0.3,a;b c\n1,-2,1e-20,\n"
+        )
+        buf = io.StringIO()
+        write_csv(buf, "w,x,y,z", iter(rows), "cfg")
+        assert buf.getvalue().encode("utf-8") == path.read_bytes()
+
+    def test_no_comment_line(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(path, "a", [(1,)])
+        assert path.read_text() == "a\n1\n"

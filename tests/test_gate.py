@@ -42,7 +42,8 @@ class TestBranchReflectivities:
         assert b.amp0**2 == pytest.approx(b.P0)
         assert b.amp1**2 == pytest.approx(b.r * b.P0)
 
-    @pytest.mark.parametrize("P0,r", [(0.0, 1.0), (1.5, 1.0), (0.5, -0.1)])
+    @pytest.mark.parametrize("P0,r", [(0.0, 1.0), (1.5, 1.0), (0.5, -0.1),
+                                      (0.5, math.nan), (0.5, math.inf)])
     def test_domain_errors(self, P0, r):
         with pytest.raises(ValueError):
             BranchReflectivities(P0=P0, r=r)
@@ -127,11 +128,22 @@ class TestTwoCavityGate:
         # raw state differs from the corrected one
         assert not np.allclose(out.psi_R_raw.coefficients, IDEAL_TARGET)
 
+    def test_derived_fields(self):
+        out = two_cavity_gate(BranchReflectivities(P0=0.8, r=0.4))
+        assert out.F_avg == (out.P_L * out.F_L + out.P_R * out.F_R) / (out.P_L + out.P_R)
+        assert np.array_equal(out.psi_R.coefficients,
+                              out.psi_R_raw.coefficients[[1, 0, 3, 2]])
+        assert out.P0 is None and out.P1 is None and out.branch_envelopes is None
+
 
 class TestTwoQubitState:
     def test_norm_enforced(self):
         with pytest.raises(ValueError):
             TwoQubitState(np.array([1.0, 1.0, 0.0, 0.0]))
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            TwoQubitState(np.array([math.nan, 0.0, 0.0, 0.0]))
 
     def test_sigma_x_on_b_swaps(self):
         s = TwoQubitState(np.array([1.0, 2.0, 3.0, 4.0]) / math.sqrt(30.0))
@@ -191,6 +203,13 @@ class TestGateFromSimulation:
         assert _overlap_up_to_phase(
             sim.psi_L.coefficients, cf.psi_L.coefficients
         ) == pytest.approx(1.0, abs=1e-3)
+
+    def test_carries_single_cavity_powers(self, adiabatic_sim):
+        _, sim = adiabatic_sim
+        assert isinstance(sim, GateOutcome)
+        assert sim.r == sim.P1 / sim.P0
+        assert sorted(sim.branch_envelopes) == [
+            (pol, a, b) for pol in "LR" for a in (0, 1) for b in (0, 1)]
 
     def test_probabilities_from_branch_norms(self, adiabatic_sim):
         _, sim = adiabatic_sim
