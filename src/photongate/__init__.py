@@ -17,7 +17,6 @@ from .core import (
     parse_config,
 )
 from .reflection import (
-    AveragedReflection,
     ReflectionRecord,
     SolverError,
     reflect_bare,

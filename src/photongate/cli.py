@@ -91,11 +91,15 @@ def _load_settings(args) -> dict:
 
 
 def _n_phi(args, default: int) -> int:
-    """The --n-phi flag, or ``default`` when it is absent; at least 1."""
+    """The --n-phi flag, or ``default`` when it is absent; at least 1, and
+    1 for ``--case bare``, which has no motion phase to average over."""
     if args.n_phi is None:
         return default
     if args.n_phi < 1:
         raise ConfigError(f"--n-phi must be at least 1, got {args.n_phi}")
+    if args.n_phi > 1 and getattr(args, "case", None) == "bare":
+        raise ConfigError(f"--n-phi {args.n_phi} averages over the motion phase; "
+                          "--case bare has none")
     return args.n_phi
 
 
@@ -129,7 +133,7 @@ def cmd_reflect(args) -> int:
         if args.out:
             raise ConfigError("--out dumps one envelope; a motion average over "
                               f"--n-phi {n_phi} phases has none")
-        rec = reflect_coupled_motion_averaged(p, f_in, n_phi, keep_envelopes=False)
+        rec = reflect_coupled_motion_averaged(p, f_in, n_phi)
     else:
         rec = reflect_coupled(p, f_in)
     print(f"case={args.case} T_f={_fmt(float(settings['T_f']))} "
@@ -229,14 +233,12 @@ FIG5_R = tuple(round(0.05 * k, 2) for k in range(81))  # 0 .. 4
 
 def cmd_figures(args) -> int:
     n_phi = _n_phi(args, 16)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, f"{args.which}.csv")
     if args.which == "fig2":
         rows = []
         for tf in FIG2_TF:
             rows.extend(sweep("bare", kappa_l_values=FIG2_KL, T_f_values=[tf]))
-        write_sweep_csv(rows, path, _config_comment(
-            "figures fig2", {"T_f": list(FIG2_TF), "kappa_l": list(FIG2_KL)}))
+        write, comment = write_sweep_csv, _config_comment(
+            "figures fig2", {"T_f": list(FIG2_TF), "kappa_l": list(FIG2_KL)})
     elif args.which == "fig3":
         rows = []
         for tf, tg, kl in FIG3_COMBOS:
@@ -246,15 +248,19 @@ def cmd_figures(args) -> int:
                 kappa_l_values=[kl], gamma_values=[1.0],
                 T_f_values=[tf], T_g_values=[tg], n_phi=n_phi,
             ))
-        write_sweep_csv(rows, path, _config_comment(
+        write, comment = write_sweep_csv, _config_comment(
             "figures fig3",
             {"gamma": 1.0, "n_phi": n_phi, "g_avg": list(FIG3_GAVG),
-             "note": "g_avg = g0 * J0(pi/3)"}))
-    elif args.which == "fig5":
+             "note": "g_avg = g0 * J0(pi/3)"})
+    else:  # fig5
         P0 = args.P0 if args.P0 is not None else 1.0
         rows = [(P0, r, two_cavity_gate(BranchReflectivities(P0=P0, r=r)))
                 for r in FIG5_R]
-        write_gate_csv(rows, path, _config_comment("figures fig5", {"P0": P0}))
+        write, comment = write_gate_csv, _config_comment("figures fig5", {"P0": P0})
+    # the directory is made only once the rows exist, so bad input leaves none
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, f"{args.which}.csv")
+    write(rows, path, comment)
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -72,7 +72,7 @@ class SmallState:
         if n > MAX_QUBITS:
             raise SizeError(f"{n} qubits exceed the {MAX_QUBITS}-qubit limit")
         nrm = np.linalg.norm(amps)
-        if abs(nrm - 1.0) > 1e-10:
+        if not abs(nrm - 1.0) <= 1e-10:
             raise ValueError(f"state norm {nrm} deviates from 1 beyond 1e-10")
         object.__setattr__(self, "amplitudes", amps)
 

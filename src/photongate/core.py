@@ -195,7 +195,12 @@ def coupling_at(p: CavityParams, t):
 
     Accepts scalars or arrays; the result lies in [g0/2, g0].
     """
-    return p.g0 * np.cos((np.pi / 3.0) * np.sin(TWO_PI * np.asarray(t) / p.T_g + p.phi))
+    return _coupling(p, np.asarray(t), p.phi)
+
+
+def _coupling(p: CavityParams, t: np.ndarray, phi):
+    """g(t) at motion phase ``phi``, broadcasting ``t`` against ``phi``."""
+    return p.g0 * np.cos((np.pi / 3.0) * np.sin(TWO_PI * t / p.T_g + phi))
 
 
 def mean_coupling(p: CavityParams) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import CavityParams, PulseEnvelope, write_csv
-from .reflection import ReflectionRecord, _integrate
+from .reflection import _integrate
 
 __all__ = [
     "IDEAL_TARGET",
@@ -75,11 +75,6 @@ class BranchReflectivities:
     @property
     def amp1(self) -> float:
         return math.sqrt(self.r * self.P0)
-
-    @classmethod
-    def from_records(cls, bare: ReflectionRecord, coupled) -> "BranchReflectivities":
-        """Build from measured bare/coupled reflection records."""
-        return cls(P0=bare.P, r=coupled.P / bare.P)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ differently, so any batch with a coupled column keeps the numpy loop.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -43,6 +44,7 @@ from .core import (
     PulseEnvelope,
     TimeGrid,
     TWO_PI,
+    _coupling,
     default_time_grid,
     make_sech_pulse,
     write_csv,
@@ -50,7 +52,6 @@ from .core import (
 
 __all__ = [
     "ReflectionRecord",
-    "AveragedReflection",
     "SolverError",
     "reflect_bare",
     "reflect_coupled",
@@ -71,14 +72,14 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class ReflectionRecord:
-    """Output envelope and derived metrics of one reflection run.
+    """Metrics of one reflection run, or their means over motion phases.
 
-    ``f_out_raw`` is the output envelope exactly as computed;
-    ``f_out`` is its unit-norm copy (post-selection renormalization).
+    ``f_out_raw`` is the output envelope exactly as computed.  Only a
+    single reflection keeps it; a motion average holds ``None`` there, and
+    so do its per-phase records in ``per_phi``.
     """
 
-    f_out_raw: PulseEnvelope
-    f_out: PulseEnvelope
+    f_out_raw: PulseEnvelope | None
     P: float
     F: float
     phase: float
@@ -88,35 +89,12 @@ class ReflectionRecord:
     #: in the coupled case; reported, not enforced)
     cavity_occupancy: float
     input_norm2: float = 1.0
+    per_phi: tuple["ReflectionRecord", ...] = ()
 
     @property
     def flux_residual(self) -> float:
         """|int|f_in|^2 - int|f_out|^2 - gamma int|e|^2 - kappa_l int|c|^2|."""
         return abs(self.input_norm2 - self.P - self.loss_atom - self.loss_cavity)
-
-
-@dataclass(frozen=True)
-class AveragedReflection:
-    """Arithmetic means of the reflection metrics over the motion phase."""
-
-    P: float
-    F: float
-    phase: float
-    loss_atom: float
-    loss_cavity: float
-    cavity_occupancy: float
-    n_phi: int
-    per_phi: tuple[ReflectionRecord, ...] = ()
-
-    @property
-    def flux_residual(self) -> float:
-        return abs(1.0 - self.P - self.loss_atom - self.loss_cavity)
-
-
-def _coupling_batch(p: CavityParams, t: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """g(t) for each motion phase; shape (len(t), len(phis))."""
-    arg = TWO_PI * t[:, None] / p.T_g + phis[None, :]
-    return p.g0 * np.cos((np.pi / 3.0) * np.sin(arg))
 
 
 def _integrate(
@@ -155,7 +133,7 @@ def _integrate(
     bare = p.g0 == 0.0 or not coupled.any()
 
     def coupling(tt):
-        return np.where(coupled, _coupling_batch(p, tt, phis), 0.0)
+        return np.where(coupled, _coupling(p, tt[:, None], phis), 0.0)
 
     for start in range(0, n - 1, rows):
         stop = min(start + rows, n - 1)
@@ -256,10 +234,8 @@ def _record_from_trajectory(
     phase = math.atan2(ov.imag, ov.real)
     F = abs(ov) / math.sqrt(input_norm2 * P) if P > 0 else 0.0
 
-    raw = PulseEnvelope(f_in.grid, f_out)
     return ReflectionRecord(
-        f_out_raw=raw,
-        f_out=raw.normalized() if P > 0 else raw,
+        f_out_raw=PulseEnvelope(f_in.grid, f_out),
         P=P,
         F=F,
         phase=phase,
@@ -294,15 +270,13 @@ def reflect_coupled(p: CavityParams, f_in: PulseEnvelope) -> ReflectionRecord:
 
 
 def reflect_coupled_motion_averaged(
-    p: CavityParams,
-    f_in: PulseEnvelope,
-    n_phi: int = 16,
-    keep_envelopes: bool = True,
-) -> AveragedReflection:
+    p: CavityParams, f_in: PulseEnvelope, n_phi: int = 16
+) -> ReflectionRecord:
     """Coupled reflection averaged over n_phi equally spaced motion phases.
 
-    Returns arithmetic means of P, F, phase and the loss terms; the per-phase
-    records (with envelopes) are retained unless keep_envelopes is False.
+    The metrics are arithmetic means over the phases, whose own records are
+    in ``per_phi``; neither the mean nor the per-phase records keep an
+    output envelope.
     """
     if n_phi < 1:
         raise ValueError("n_phi must be at least 1")
@@ -312,25 +286,14 @@ def reflect_coupled_motion_averaged(
     except SolverError as exc:
         raise SolverError(f"{exc} (while batching phi={list(phis)})") from exc
 
-    records = []
-    for i, phi in enumerate(phis):
-        try:
-            records.append(_record_from_trajectory(
-                replace(p, phi=float(phi)), f_in, c[:, i], e[:, i]))
-        except (SolverError, ValueError) as exc:
-            raise SolverError(f"{exc} (at phi={phi})") from exc
-
-    mean = lambda attr: float(np.mean([getattr(r, attr) for r in records]))
-    return AveragedReflection(
-        P=mean("P"),
-        F=mean("F"),
-        phase=mean("phase"),
-        loss_atom=mean("loss_atom"),
-        loss_cavity=mean("loss_cavity"),
-        cavity_occupancy=mean("cavity_occupancy"),
-        n_phi=n_phi,
-        per_phi=tuple(records) if keep_envelopes else (),
+    records = tuple(
+        replace(_record_from_trajectory(p, f_in, c[:, i], e[:, i]), f_out_raw=None)
+        for i in range(n_phi)
     )
+    means = {attr: float(np.mean([getattr(r, attr) for r in records]))
+             for attr in ("P", "F", "phase", "loss_atom", "loss_cavity", "cavity_occupancy")}
+    return ReflectionRecord(f_out_raw=None, **means, input_norm2=f_in.squared_norm(),
+                            per_phi=records)
 
 
 SWEEP_CSV_HEADER = (
@@ -377,46 +340,38 @@ def sweep(
         raise ValueError(f"unknown case {case!r}")
     if n_phi < 1:
         raise ValueError(f"n_phi must be at least 1, got {n_phi}")
-    for name, vals in (
-        ("g0", g0_values), ("kappa_l", kappa_l_values), ("gamma", gamma_values),
-        ("T_f", T_f_values), ("T_g", T_g_values),
-    ):
-        vals = list(vals)
+    ranges = dict(g0=list(g0_values), kappa_l=list(kappa_l_values), gamma=list(gamma_values),
+                  T_f=list(T_f_values), T_g=list(T_g_values))
+    for name, vals in ranges.items():
         if not vals or not all(math.isfinite(v) for v in vals):
             raise ValueError(f"range {name} must be non-empty and finite")
     if dt is not None and not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
 
     rows: list[SweepRow] = []
-    for g0 in g0_values:
-        for kl in kappa_l_values:
-            for gam in gamma_values:
-                for tf in T_f_values:
-                    for tg in T_g_values:
-                        base = dict(
-                            g0=g0, kappa_l=kl, gamma=gam, T_f=tf, T_g=tg,
-                            n_phi=n_phi if case == "coupled" else 1, case=case,
-                        )
-                        try:
-                            p = CavityParams(
-                                g0=g0, kappa_c=kappa_c, kappa_l=kl, gamma=gam, T_g=tg
-                            )
-                            grid = default_time_grid(tf, p, dt=dt)
-                            f_in = make_sech_pulse(tf, grid)
-                            if case == "bare":
-                                rec = reflect_bare(p, f_in)
-                            elif n_phi > 1:
-                                rec = reflect_coupled_motion_averaged(
-                                    p, f_in, n_phi, keep_envelopes=False
-                                )
-                            else:
-                                rec = reflect_coupled(p, f_in)
-                            rows.append(SweepRow(
-                                **base, P=rec.P, F=rec.F, phase=rec.phase,
-                                loss_atom=rec.loss_atom, loss_cavity=rec.loss_cavity,
-                            ))
-                        except (ValueError, SolverError) as exc:
-                            rows.append(SweepRow(**base, error=str(exc)))
+    for g0, kl, gam, tf, tg in itertools.product(*ranges.values()):
+        base = dict(
+            g0=g0, kappa_l=kl, gamma=gam, T_f=tf, T_g=tg,
+            n_phi=n_phi if case == "coupled" else 1, case=case,
+        )
+        try:
+            p = CavityParams(
+                g0=g0, kappa_c=kappa_c, kappa_l=kl, gamma=gam, T_g=tg
+            )
+            grid = default_time_grid(tf, p, dt=dt)
+            f_in = make_sech_pulse(tf, grid)
+            if case == "bare":
+                rec = reflect_bare(p, f_in)
+            elif n_phi > 1:
+                rec = reflect_coupled_motion_averaged(p, f_in, n_phi)
+            else:
+                rec = reflect_coupled(p, f_in)
+            rows.append(SweepRow(
+                **base, P=rec.P, F=rec.F, phase=rec.phase,
+                loss_atom=rec.loss_atom, loss_cavity=rec.loss_cavity,
+            ))
+        except (ValueError, SolverError) as exc:
+            rows.append(SweepRow(**base, error=str(exc)))
     return rows
 
 

@@ -12,7 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from photongate.cli import main
+from photongate import cli
+from photongate.cli import FIG2_TF, FIG3_COMBOS, main
 from photongate.cluster import (
     make_linear_cluster,
     monte_carlo_growth,
@@ -28,23 +29,15 @@ from photongate.core import (
     g0_for_mean_coupling,
     make_sech_pulse,
 )
-from photongate.gate import (
-    BranchReflectivities,
-    circuit_oracle,
-    two_cavity_gate,
-    two_sided_effective_params,
-)
+from photongate.gate import two_sided_effective_params
 from photongate.reflection import (
     reflect_bare,
     reflect_coupled,
     reflect_coupled_motion_averaged,
 )
+from photongate.verify import verify_oracle
 
-FIG2_TF = (10.0, 20.0, 30.0, 50.0, 70.0)
-FIG2_KL = (0.0, 0.1, 0.2, 0.3)
-FIG3_COMBOS = tuple(
-    (tf, tg, kl) for tf in (10.0, 50.0) for tg in (50.0, 125.0) for kl in (0.0, 0.2)
-)
+FIG2_KL = cli.FIG2_KL[::2]  # 0, 0.1, 0.2, 0.3
 FIG3_GAVG = (1.0, 2.0, 3.0, 5.0)
 FIG3_NPHI = 8
 
@@ -194,28 +187,9 @@ def test_criterion_05_trends(fig2_battery, fig3_battery):
 
 
 def test_criterion_06_gate_closed_forms_vs_oracle():
-    failures = []
-    rng = np.random.default_rng(20240)
-    for _ in range(100):
-        b = BranchReflectivities(
-            P0=float(rng.uniform(0.05, 1.0)), r=float(rng.uniform(0.0, 4.0))
-        )
-        cf, oc = two_cavity_gate(b), circuit_oracle(b)
-        worst = max(
-            abs(cf.P_L - oc.P_L),
-            abs(cf.P_R - oc.P_R),
-            float(np.max(np.abs(cf.psi_L.coefficients - oc.psi_L.coefficients))),
-            float(
-                np.max(np.abs(cf.psi_R_raw.coefficients - oc.psi_R_raw.coefficients))
-            ),
-        )
-        if worst >= 1e-10:
-            failures.append(f"deviation {worst:.2e} at P0={b.P0:.4f}, r={b.r:.4f}")
-    out = two_cavity_gate(BranchReflectivities(P0=0.7, r=1.0))
-    if abs(out.P_total - 0.49) >= 1e-12:
-        failures.append(f"P_total at r=1: {out.P_total!r}")
-    if abs(out.F_avg - 1.0) >= 1e-12:
-        failures.append(f"F_avg at r=1: {out.F_avg!r}")
+    # closed forms vs the circuit oracle on 100 random (P0, r) draws within
+    # 1e-10, and the ideal point r = 1: P_total = P0^2 and F_avg = 1 within 1e-12
+    failures = [res.line() for res in verify_oracle() if not res.ok]
     _report(6, failures)
 
 

@@ -38,6 +38,11 @@ class TestReflect:
         metrics_c = [l for l in out_c.splitlines() if "=" in l and not l.startswith("case")]
         assert metrics_b == metrics_c
 
+    def test_bare_accepts_one_phase(self, capsys):
+        code, out, _ = run(capsys, "reflect", "--case", "bare", "--Tf", "10", "--n-phi", "1")
+        assert code == EXIT_OK
+        assert "flux_residual" in out
+
     def test_missing_required_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["reflect", "--kappa-l", "0"])
@@ -150,6 +155,8 @@ def test_non_positive_n_phi_is_config_error(capsys, tmp_path, argv, n_phi):
     ("reflect", "--case", "coupled", "--g0", "1", "--Tg", "nan"),
     ("reflect", "--case", "coupled", "--g0", "1", "--phi", "nan"),
     ("sweep", "--case", "bare", "--Tf", "10", "--window", "5"),
+    ("reflect", "--case", "bare", "--n-phi", "4"),
+    ("sweep", "--case", "bare", "--n-phi", "4"),
 ])
 def test_bad_numeric_input_is_config_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -159,10 +166,11 @@ def test_bad_numeric_input_is_config_error(capsys, argv):
 
 
 def test_fig5_bad_P0_is_config_error(capsys, tmp_path):
-    code, out, err = run(capsys, "figures", "fig5", "--P0", "2", "--out", str(tmp_path))
+    d = tmp_path / "d"
+    code, out, err = run(capsys, "figures", "fig5", "--P0", "2", "--out", str(d))
     assert code == EXIT_CONFIG_ERROR
     assert err.startswith("config error: ")
-    assert not (tmp_path / "fig5.csv").exists()
+    assert not d.exists()
 
 
 def test_sweep_window_from_config_is_config_error(capsys, tmp_path):

@@ -8,6 +8,7 @@ from photongate.cluster import (
     MAX_QUBITS,
     ShapeError,
     SizeError,
+    SmallState,
     apply_cz,
     apply_x,
     apply_z,
@@ -58,6 +59,10 @@ class TestLinearCluster:
             make_linear_cluster(0)
         with pytest.raises(SizeError):
             make_linear_cluster(MAX_QUBITS + 1)
+
+    def test_nan_amplitudes_rejected(self):
+        with pytest.raises(ValueError, match="norm"):
+            SmallState(np.array([np.nan, 0.0, 0.0, 0.0]))
 
     def test_chain_stabilizers(self):
         n = 6

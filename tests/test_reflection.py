@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from photongate.core import CavityParams, TimeGrid, default_time_grid, make_sech_pulse
+from photongate.core import (
+    CavityParams,
+    PulseEnvelope,
+    TimeGrid,
+    default_time_grid,
+    make_sech_pulse,
+)
 from photongate.reflection import (
     _CHUNK,
     SWEEP_CSV_HEADER,
@@ -110,6 +116,25 @@ class TestMotionAverage:
         per = [r.P for r in avg.per_phi]
         assert min(per) <= avg.P <= max(per)
         assert max(per) - min(per) > 1e-4  # frozen g(phi) spread is visible
+
+    def test_flux_residual_of_scaled_input(self):
+        # the averaged residual balances against the input's own norm, 4 here
+        p = CavityParams(g0=2.0, gamma=1.0, kappa_l=0.1, T_g=50.0)
+        f = make_sech_pulse(10.0, default_time_grid(10.0, p))
+        avg = reflect_coupled_motion_averaged(p, PulseEnvelope(f.grid, 2.0 * f.samples),
+                                              n_phi=5)
+        assert avg.input_norm2 == pytest.approx(4.0, rel=1e-12)
+        assert avg.flux_residual < 1e-6
+
+    def test_metrics_are_per_phase_means_without_envelopes(self):
+        p = CavityParams(g0=2.0, gamma=1.0, kappa_l=0.1, T_g=50.0)
+        f = make_sech_pulse(10.0, default_time_grid(10.0, p))
+        avg = reflect_coupled_motion_averaged(p, f, n_phi=4)
+        assert len(avg.per_phi) == 4
+        for attr in ("P", "F", "phase", "loss_atom", "loss_cavity", "cavity_occupancy"):
+            assert getattr(avg, attr) == float(np.mean([getattr(r, attr) for r in avg.per_phi]))
+        assert avg.f_out_raw is None
+        assert all(r.f_out_raw is None and r.per_phi == () for r in avg.per_phi)
 
     def test_rejects_bad_n_phi(self):
         p = CavityParams(g0=1.0, gamma=1.0)
@@ -222,6 +247,13 @@ class TestSweep:
                      T_f_values=[10.0], dt=0.5)
         assert rows[0].error == "" and rows[0].P is not None
         assert rows[1].error != "" and rows[1].P is None
+
+    def test_generator_ranges_match_lists(self):
+        lists = sweep("bare", kappa_l_values=[0.1, 0.2], T_f_values=[10.0])
+        gens = sweep("bare", kappa_l_values=(x for x in [0.1, 0.2]),
+                     T_f_values=iter([10.0]))
+        assert gens == lists
+        assert len(gens) == 2
 
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
